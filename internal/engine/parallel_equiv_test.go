@@ -3,11 +3,14 @@ package engine_test
 import (
 	"fmt"
 	"math"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
 	"vdm/internal/engine"
 	"vdm/internal/experiments"
+	"vdm/internal/s4"
 	"vdm/internal/tpch"
 	"vdm/internal/types"
 )
@@ -160,12 +163,27 @@ func TestParallelEquivalence(t *testing.T) {
 
 // TestParallelEquivalenceMorselSizes sweeps morsel sizes around the
 // fixture's table sizes, including 1 (every row its own morsel) and a
-// size larger than any table (single morsel).
+// size larger than any table (single morsel). The paging shapes have no
+// ORDER BY, so LIMIT/OFFSET cut the streaming exchange's own output
+// order: they pass only if the parallel probe and scan emit serial's
+// rows in serial's order and stop early without losing any. The joins
+// are not key-preserving, so the LIMIT stays above them.
 func TestParallelEquivalenceMorselSizes(t *testing.T) {
 	e := equivEngine(t)
 	queries := []experiments.NamedQuery{
 		{Name: "agg", SQL: `select l_orderkey, sum(l_quantity), count(*) from lineitem group by l_orderkey`},
 		{Name: "filter", SQL: `select o_orderkey from orders where o_totalprice > 1000.00`},
+		// Build side: orders (right).
+		{Name: "page-inner-join", SQL: `select l_orderkey, l_linenumber, o_orderkey from lineitem inner join orders on l_linenumber = o_custkey limit 30 offset 7`},
+		// Build side: customer (left).
+		{Name: "page-inner-join-build-left", SQL: `select c_custkey, o_orderkey from customer inner join orders on c_custkey = o_custkey limit 30 offset 7`},
+		// Build side: orders (right); unmatched lineitems NULL-extend in probe order.
+		{Name: "page-left-join-build-right", SQL: `select l_orderkey, l_linenumber, o_orderkey from lineitem left outer join orders on l_linenumber = o_custkey limit 30 offset 7`},
+		// Build side: customer (left); a page deep enough to reach the
+		// NULL-extended tail of customers without orders.
+		{Name: "page-left-join-build-left", SQL: `select c_custkey, o_orderkey from customer left outer join orders on c_custkey = o_custkey limit 30 offset 7`},
+		{Name: "page-left-join-build-left-tail", SQL: `select c_custkey, o_orderkey from customer left outer join orders on c_custkey = o_custkey limit 40 offset 180`},
+		{Name: "page-union-all", SQL: `select id, amount from sales_active union all select id, amount from sales_draft limit 15 offset 4`},
 	}
 	for _, size := range []int{1, 3, 64, 1 << 20} {
 		for _, q := range queries {
@@ -276,5 +294,43 @@ func TestAutoParallelism(t *testing.T) {
 	}
 	if len(res.Rows) != 1 {
 		t.Fatalf("got %d rows, want 1", len(res.Rows))
+	}
+}
+
+// TestJEIBPageAnalyzeStopsEarly pins the paging motif of Figure 3 at
+// benchmark scale under AutoParallelism: limit pushdown puts the page on
+// the ACDOCA anchor, and EXPLAIN ANALYZE must show the anchor pipeline
+// reading only the batches the page needs, not all 20,000 rows.
+func TestJEIBPageAnalyzeStopsEarly(t *testing.T) {
+	sz := s4.BenchSize()
+	e := engine.New()
+	if err := s4.Setup(e, sz); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.MergeAllDeltas(); err != nil {
+		t.Fatal(err)
+	}
+	e.SetOptions(engine.Options{Parallelism: engine.AutoParallelism})
+	out, err := e.ExplainAnalyze("", `select * from JournalEntryItemBrowser limit 100 offset 500`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rowsRE := regexp.MustCompile(`\[rows=(\d+) `)
+	anchors := 0
+	for _, line := range strings.Split(out, "\n") {
+		if !strings.Contains(strings.TrimSpace(line), "Scan acdoca") {
+			continue
+		}
+		m := rowsRE.FindStringSubmatch(line)
+		if m == nil {
+			t.Fatalf("no rows= on anchor line: %s", line)
+		}
+		anchors++
+		if n, _ := strconv.Atoi(m[1]); n >= sz.ACDOCARows {
+			t.Errorf("anchor scan read %d of %d rows:\n%s", n, sz.ACDOCARows, out)
+		}
+	}
+	if anchors == 0 {
+		t.Fatalf("no ACDOCA scan in EXPLAIN ANALYZE:\n%s", out)
 	}
 }

@@ -146,7 +146,7 @@ func (b *Builder) build(n plan.Node) (Iterator, error) {
 				// runs morsel-parallel when workers are configured.
 				var inner Iterator = &scanIter{snap: tbl.SnapshotAt(b.ts), ords: scan.Ords, ranges: ranges, gov: b.gov}
 				if b.workers > 1 {
-					inner = b.newParallelScan(&morselSpec{snap: tbl.SnapshotAt(b.ts), ords: scan.Ords, ranges: ranges})
+					inner = b.newStreamScan(&morselSpec{snap: tbl.SnapshotAt(b.ts), ords: scan.Ords, ranges: ranges})
 				}
 				input := b.wrapNode(scan, inner)
 				cond, err := Compile(n.Cond, slotsOf(scan))
@@ -268,11 +268,11 @@ func (b *Builder) build(n plan.Node) (Iterator, error) {
 		}
 		// LIMIT directly above a filter-less vectorized scan: every
 		// input row survives the fragment, so the limit bounds exactly
-		// how many rows the adapter will ever decode. Clamp the batch
+		// how many rows the scan will ever decode. Clamp the batch
 		// size so a small page doesn't fill and box a full batch.
-		if vri, ok := input.(*vecRowsIter); ok && !vri.spec.hasFilter() && n.Count >= 0 && n.Offset >= 0 {
-			if need := n.Offset + n.Count; need > 0 && need < int64(vri.batchSize) {
-				vri.batchSize = int(need)
+		if in, ok := input.(*streamScanIter); ok && in.spec.vec != nil && !in.spec.vec.hasFilter() && n.Count >= 0 && n.Offset >= 0 {
+			if need := n.Offset + n.Count; need > 0 && need < int64(in.spec.vecBatch) {
+				in.spec.vecBatch = int(need)
 			}
 		}
 		return &limitIter{input: input, count: n.Count, offset: n.Offset}, nil

@@ -11,14 +11,16 @@ import (
 )
 
 // Morsel-driven parallel execution. Base-table scans are split into
-// fixed-size row ranges (morsels); a bounded worker pool claims morsels
-// from an atomic counter and runs the whole scan→filter→project(→agg)
-// pipeline fragment on each morsel before touching the next, so every
-// morsel pays one lock acquisition and a couple of batch allocations
-// instead of per-row costs. Results are merged back in morsel sequence
-// order, which makes parallel execution produce rows in exactly the
-// serial scan order — determinism the rest of the engine (ORDER BY
-// stability, group first-seen order) relies on.
+// fixed-size row ranges (morsels); a bounded worker pool runs the whole
+// scan→filter→project(→agg) pipeline fragment on each morsel before
+// touching the next. Streaming operators (scans, join probes) consume
+// their morsels through an ordered exchange that publishes one batch at
+// a time, so a LIMIT above stops the workers after a bounded number of
+// batches; blocking operators (group-by partials, top-k, DISTINCT) sweep
+// every morsel through collectMorsels. Either way results are merged in
+// morsel sequence order, which makes parallel execution produce rows in
+// exactly the serial scan order — determinism the rest of the engine
+// (ORDER BY stability, group first-seen order) relies on.
 
 // DefaultMorselSize is the number of row positions per morsel when the
 // caller does not configure one. Large enough to amortize scheduling
@@ -47,6 +49,26 @@ func (b *Builder) SetParallel(workers, morselSize int) {
 // partitioned builds, top-k fusions) to m.
 func (b *Builder) SetMetrics(m *Metrics) { b.met = m }
 
+// countParallel records a morsel sweep in the parallel counters. A
+// sweep of at most one morsel runs inline in the calling goroutine, so
+// it is serial work and counts nothing.
+func (m *Metrics) countParallel(morsels int) {
+	if m == nil || morsels <= 1 {
+		return
+	}
+	m.ParallelPipelines.Inc()
+	m.MorselsScanned.Add(int64(morsels))
+}
+
+// poolWorkers is the number of workers a sweep over morsels runs on:
+// 0 when it runs inline (at most one morsel, or no pool).
+func poolWorkers(workers, morsels int) int {
+	if workers <= 1 || morsels <= 1 {
+		return 0
+	}
+	return min(workers, morsels)
+}
+
 // --- morsel pipeline fragment ------------------------------------------
 
 // morselSpec is a fused scan→filter→project pipeline fragment executed
@@ -60,7 +82,7 @@ type morselSpec struct {
 	project []EvalFn
 	// vec, when set, runs the fragment through the vectorized batch
 	// kernels (vecBatch rows per batch) instead of the row closures; the
-	// morsel merge and ordering machinery is identical either way.
+	// exchange and ordering machinery is identical either way.
 	vec      *vecSpec
 	vecBatch int
 }
@@ -68,7 +90,7 @@ type morselSpec struct {
 // run executes the fragment over row positions [lo, hi): collect
 // visible positions (one lock, zone-map pruned), materialize them into
 // a flat batch (one lock, column-at-a-time), then filter and project in
-// place. idxBuf is a worker-local scratch slice returned for reuse.
+// place. idxBuf is a caller-owned scratch slice returned for reuse.
 func (m *morselSpec) run(lo, hi int, idxBuf []int) ([]types.Row, []int, error) {
 	idxBuf = m.snap.CollectVisible(lo, hi, m.ranges, idxBuf[:0])
 	if len(idxBuf) == 0 {
@@ -119,40 +141,97 @@ func (m *morselSpec) morselCount(size int) int {
 	return (total + size - 1) / size
 }
 
+// batchSize is the rows per cursor chunk: the vector batch, or the
+// default batch size for the row closures.
+func (m *morselSpec) batchSize() int {
+	if m.vec != nil && m.vecBatch > 0 {
+		return m.vecBatch
+	}
+	return DefaultBatchSize
+}
+
+// cursor streams row positions [lo, hi) through the fragment one batch
+// at a time, skipping batches no row survives. The governance pause
+// point fires once, on the first pull.
+func (m *morselSpec) cursor(lo, hi int, gov *Governance) cursor {
+	batch := m.batchSize()
+	pos := lo
+	opened := false
+	var sc *vecScratch
+	var idxBuf []int
+	return func(dst []types.Row) (chunk, bool, error) {
+		if !opened {
+			if err := gov.point(PointScan); err != nil {
+				return chunk{}, false, err
+			}
+			if m.vec != nil {
+				sc = newVecScratch(m.vec)
+			}
+			opened = true
+		}
+		for pos < hi {
+			end := min(pos+batch, hi)
+			var rows []types.Row
+			var err error
+			if m.vec != nil {
+				if err = m.vec.fill(pos, end, sc); err == nil {
+					rows = m.vec.decodeRows(sc, dst[:0])
+				}
+			} else {
+				rows, idxBuf, err = m.run(pos, end, idxBuf)
+			}
+			pos = end
+			if err != nil {
+				return chunk{}, false, err
+			}
+			if len(rows) > 0 {
+				return chunk{rows: rows}, true, nil
+			}
+		}
+		return chunk{}, false, nil
+	}
+}
+
 // collectMorsels runs work for every morsel seq in [0, count) across a
 // bounded worker pool and returns the results in sequence order. It
 // waits for all workers; the first error (by sequence) wins. A panic
 // inside work is confined to its morsel and surfaces as a typed
-// ErrInternal — a worker goroutine must never crash the process.
+// ErrInternal — a worker goroutine must never crash the process. At
+// most one morsel (or a pool of one) runs inline in the caller's
+// goroutine.
 func collectMorsels[T any](count, workers int, work func(seq int) (T, error)) ([]T, error) {
 	results := make([]T, count)
 	errs := make([]error, count)
-	if workers > count {
-		workers = count
-	}
-	var claim int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				seq := int(atomic.AddInt64(&claim, 1)) - 1
-				if seq >= count {
-					return
-				}
-				func() {
-					defer func() {
-						if r := recover(); r != nil {
-							errs[seq] = panicErr("parallel worker", r)
-						}
-					}()
-					results[seq], errs[seq] = work(seq)
-				}()
+	runOne := func(seq int) {
+		defer func() {
+			if r := recover(); r != nil {
+				errs[seq] = panicErr("parallel worker", r)
 			}
 		}()
+		results[seq], errs[seq] = work(seq)
 	}
-	wg.Wait()
+	if w := poolWorkers(workers, count); w == 0 {
+		for seq := 0; seq < count; seq++ {
+			runOne(seq)
+		}
+	} else {
+		var claim int64
+		var wg sync.WaitGroup
+		for ; w > 0; w-- {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					seq := int(atomic.AddInt64(&claim, 1)) - 1
+					if seq >= count {
+						return
+					}
+					runOne(seq)
+				}
+			}()
+		}
+		wg.Wait()
+	}
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
@@ -161,92 +240,287 @@ func collectMorsels[T any](count, workers int, work func(seq int) (T, error)) ([
 	return results, nil
 }
 
-// --- parallel scan ------------------------------------------------------
+// --- ordered exchange ---------------------------------------------------
 
-// seqBatch is one morsel's output, tagged with its sequence number so
-// the consumer can restore scan order.
-type seqBatch struct {
-	seq  int
-	rows []types.Row
-	err  error
+// chunk is one batch of morsel output: rows in scan (or probe) order
+// and, for build-left LEFT OUTER probes, the build rows they matched.
+type chunk struct {
+	rows    []types.Row
+	matched []int32
 }
 
-// parallelScanIter streams a morselSpec's output through a worker pool,
-// re-ordering completed morsels so rows are emitted in serial scan
-// order. Workers stop as soon as the iterator is closed, so a LIMIT
-// above still terminates early.
-type parallelScanIter struct {
+// cursor pulls one morsel's output a chunk at a time; ok=false once the
+// morsel is exhausted. dst is a row slice the cursor may reuse for the
+// chunk it returns: the inline consumer hands back the previous chunk's
+// rows (which it has finished with), workers pass nil, since a
+// published chunk belongs to the consumer.
+type cursor func(dst []types.Row) (c chunk, ok bool, err error)
+
+// exchange streams the output of the morsels covering row positions
+// [0, total) to one consumer, in morsel order, one chunk at a time:
+//
+//   - Workers claim morsels in sequence, one at a time each. Every
+//     morsel publishes into its own stream, and the consumer reads the
+//     streams in sequence, so morsel 0's first chunk is emitted as soon
+//     as it is produced.
+//   - Demand gates production through a read-ahead window: a worker
+//     computes its morsel's n-th chunk only while n < window. The window
+//     starts at one chunk and doubles with every chunk the consumer
+//     takes, so after c takes it is 2^c. A worker moves on to a new
+//     morsel only after publishing a whole one. While the window is
+//     below a morsel's chunk count, at most one morsel per worker is in
+//     flight, and a consumer that stops after c takes has cost at most
+//     c + workers·2^c chunks, however large the input. Once the window
+//     covers a morsel the pool runs free. A full scan thus finishes as
+//     fast as the pool allows, with its table-lock acquisitions bunched
+//     together instead of spread across the consumer's run, where every
+//     long writer hold (a vacuum pass) would stall it again. The
+//     morsel the consumer reads never waits: it has published at most
+//     what was taken from it, plus one. Chunks in which no row survives
+//     are not published and not counted.
+//   - Workers check the stop signal between chunks; close cancels and
+//     joins them.
+//
+// With at most one morsel, or no pool, the cursors run inline in the
+// consumer's goroutine: no goroutines and no channels.
+type exchange struct {
+	total, morselSize int
+	open              func(lo, hi int) cursor
+	gov               *Governance
+
+	morsels int
+	started int // workers started; 0 when inline
+
+	seq int // next morsel the consumer reads
+
+	// inline state
+	cur  cursor
+	last []types.Row
+
+	// pool state
+	streams []chan published // one per morsel; the consumer reads streams[seq]
+	claim   atomic.Int64
+	stop    chan struct{}
+	wg      sync.WaitGroup
+	mu      sync.Mutex
+	wake    *sync.Cond
+	window  int // 2^(chunks taken by the consumer), capped
+	stopped bool
+}
+
+// published is a chunk, or the error that ended its morsel.
+type published struct {
+	chunk
+	err error
+}
+
+// startExchange streams row positions [0, total), cut into morsels of
+// morselSize rows that publish chunks of up to batch rows, each morsel
+// started by open on the goroutine that runs it. It launches the pool,
+// or nothing when the exchange runs inline.
+func startExchange(total, morselSize, batch, workers int, gov *Governance, open func(lo, hi int) cursor) *exchange {
+	if workers <= 1 || morselSize <= 0 {
+		morselSize = max(total, 1)
+	}
+	x := &exchange{
+		total:      total,
+		morselSize: morselSize,
+		open:       open,
+		gov:        gov,
+		morsels:    (total + morselSize - 1) / morselSize,
+	}
+	x.started = poolWorkers(workers, x.morsels)
+	if x.started == 0 {
+		return x
+	}
+	// A stream buffers its whole morsel (capped), so a worker that runs
+	// ahead of the consumer never blocks on the send.
+	buffer := min((morselSize+batch-1)/batch, maxStreamBuffer)
+	x.streams = make([]chan published, x.morsels)
+	for i := range x.streams {
+		x.streams[i] = make(chan published, buffer)
+	}
+	x.stop = make(chan struct{})
+	x.wake = sync.NewCond(&x.mu)
+	x.window = 1
+	for w := 0; w < x.started; w++ {
+		x.wg.Add(1)
+		go x.worker()
+	}
+	return x
+}
+
+// maxStreamBuffer caps a stream's buffer, in chunks; a worker that
+// fills it waits for the consumer. Default sizes need 32.
+const maxStreamBuffer = 64
+
+// maxWindow caps the read-ahead window; past a morsel's chunk count
+// its size no longer matters.
+const maxWindow = 1 << 20
+
+func (x *exchange) worker() {
+	defer x.wg.Done()
+	for {
+		seq := int(x.claim.Add(1)) - 1
+		if seq >= x.morsels || !x.run(seq) {
+			return
+		}
+	}
+}
+
+// run produces morsel seq into its stream and closes it; false means
+// the exchange was stopped. A panic is confined to the morsel and
+// surfaces, in order, as a typed ErrInternal.
+func (x *exchange) run(seq int) (running bool) {
+	out := x.streams[seq]
+	defer close(out)
+	defer func() {
+		if r := recover(); r != nil {
+			running = x.publish(out, published{err: panicErr("parallel worker", r)})
+		}
+	}()
+	lo := seq * x.morselSize
+	next := x.open(lo, min(lo+x.morselSize, x.total))
+	for n := 0; x.await(n); n++ {
+		c, ok, err := next(nil)
+		if err != nil {
+			return x.publish(out, published{err: err})
+		}
+		if !ok {
+			return true
+		}
+		if !x.publish(out, published{chunk: c}) {
+			return false
+		}
+	}
+	return false
+}
+
+// await blocks until a worker may compute its morsel's n-th chunk;
+// false means the exchange was stopped.
+func (x *exchange) await(n int) bool {
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	for n >= x.window && !x.stopped {
+		x.wake.Wait()
+	}
+	return !x.stopped
+}
+
+func (x *exchange) publish(out chan<- published, p published) bool {
+	select {
+	case out <- p:
+		return true
+	case <-x.stop:
+		return false
+	}
+}
+
+// next returns the next chunk in morsel order; ok=false at the end. The
+// chunk is the consumer's until it calls next again.
+func (x *exchange) next() (chunk, bool, error) {
+	if x.started == 0 {
+		return x.nextInline()
+	}
+	for x.seq < x.morsels {
+		var p published
+		var ok bool
+		// Also wake on cancellation: a worker pinned inside a test hook
+		// (or stalled storage) must not wedge the consumer.
+		select {
+		case p, ok = <-x.streams[x.seq]:
+		case <-x.gov.Done():
+			return chunk{}, false, x.gov.Err()
+		}
+		if !ok {
+			x.streams[x.seq] = nil
+			x.seq++
+			continue
+		}
+		if p.err != nil {
+			return chunk{}, false, p.err
+		}
+		x.mu.Lock()
+		if x.window < maxWindow {
+			x.window *= 2
+			x.wake.Broadcast()
+		}
+		x.mu.Unlock()
+		return p.chunk, true, nil
+	}
+	return chunk{}, false, nil
+}
+
+// nextInline pulls the morsels' cursors in sequence on the consumer's
+// goroutine, recycling each chunk's row slice into the next.
+func (x *exchange) nextInline() (chunk, bool, error) {
+	for {
+		if x.cur == nil {
+			if x.seq >= x.morsels {
+				return chunk{}, false, nil
+			}
+			lo := x.seq * x.morselSize
+			x.cur = x.open(lo, min(lo+x.morselSize, x.total))
+			x.seq++
+		}
+		c, ok, err := x.cur(x.last)
+		if err != nil {
+			return chunk{}, false, err
+		}
+		if ok {
+			x.last = c.rows[:0]
+			return c, true, nil
+		}
+		x.cur = nil
+	}
+}
+
+// close stops and joins every worker. Idempotent.
+func (x *exchange) close() {
+	if x.stop != nil {
+		close(x.stop)
+		x.mu.Lock()
+		x.stopped = true
+		x.wake.Broadcast()
+		x.mu.Unlock()
+		x.wg.Wait()
+		x.stop = nil
+	}
+	x.streams, x.cur, x.last = nil, nil, nil
+}
+
+// --- streaming scan ------------------------------------------------------
+
+// streamScanIter streams a morselSpec's output through an exchange:
+// rows come out in serial scan order, a batch at a time, so a LIMIT
+// above stops the scan within a bounded number of batches. Serial and
+// single-morsel scans run inline; larger ones run on the worker pool.
+type streamScanIter struct {
 	spec       *morselSpec
 	workers    int
 	morselSize int
 	met        *Metrics
 	gov        *Governance
 
-	morsels int
-	started int
-	claim   int64
-	batches chan seqBatch
-	stop    chan struct{}
-	wg      sync.WaitGroup
-
-	next    int
-	pending map[int]seqBatch
-	cur     []types.Row
-	curPos  int
-	unpin   func()
+	x     *exchange
+	unpin func()
+	cur   []types.Row
+	pos   int
 }
 
-func (s *parallelScanIter) Open() error {
+func (s *streamScanIter) Open() error {
 	// Register the scan's snapshot timestamp in the DB watermark for the
-	// iterator's lifetime: morsel workers re-acquire the table lock per
-	// batch, and the pin guarantees background version GC never reclaims
+	// iterator's lifetime: workers re-acquire the table lock per batch,
+	// and the pin guarantees background version GC never reclaims
 	// versions this timestamp can still see in the meantime.
 	s.unpin = s.spec.snap.Pin()
-	s.morsels = s.spec.morselCount(s.morselSize)
-	s.next, s.cur, s.curPos = 0, nil, 0
-	s.claim = 0
-	s.pending = make(map[int]seqBatch)
-	s.stop = make(chan struct{})
-	s.batches = make(chan seqBatch, s.workers)
-	s.started = s.workers
-	if s.started > s.morsels {
-		s.started = s.morsels
-	}
-	for w := 0; w < s.started; w++ {
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			var idxBuf []int
-			var vsc *vecScratch
-			if s.spec.vec != nil {
-				vsc = newVecScratch(s.spec.vec)
-			}
-			for {
-				select {
-				case <-s.stop:
-					return
-				default:
-				}
-				seq := int(atomic.AddInt64(&s.claim, 1)) - 1
-				if seq >= s.morsels {
-					return
-				}
-				rows, buf, err := s.runMorsel(seq, idxBuf, vsc)
-				idxBuf = buf
-				select {
-				case s.batches <- seqBatch{seq: seq, rows: rows, err: err}:
-				case <-s.stop:
-					return
-				}
-				if err != nil {
-					return
-				}
-			}
-		}()
-	}
+	total := s.spec.snap.NumRowVersions()
+	s.x = startExchange(total, s.morselSize, s.spec.batchSize(), s.workers, s.gov, func(lo, hi int) cursor {
+		return s.spec.cursor(lo, hi, s.gov)
+	})
+	s.cur, s.pos = nil, 0
 	if s.met != nil {
-		s.met.ParallelPipelines.Inc()
-		s.met.MorselsScanned.Add(int64(s.morsels))
+		s.met.countParallel(s.x.morsels)
 		if s.spec.vec != nil {
 			s.met.VecPipelines.Inc()
 		}
@@ -254,79 +528,35 @@ func (s *parallelScanIter) Open() error {
 	return nil
 }
 
-// runMorsel executes one morsel with a recover boundary (a panic fails
-// only this query, typed ErrInternal) and a governance check so a
-// cancelled query stops claiming work mid-scan.
-func (s *parallelScanIter) runMorsel(seq int, idxBuf []int, vsc *vecScratch) (rows []types.Row, buf []int, err error) {
-	buf = idxBuf
-	defer func() {
-		if r := recover(); r != nil {
-			rows, err = nil, panicErr("parallel scan worker", r)
+func (s *streamScanIter) Next() (types.Row, bool, error) {
+	for s.pos >= len(s.cur) {
+		c, ok, err := s.x.next()
+		if err != nil || !ok {
+			return nil, false, err
 		}
-	}()
-	if err := s.gov.point(PointScan); err != nil {
-		return nil, buf, err
+		s.cur, s.pos = c.rows, 0
 	}
-	lo := seq * s.morselSize
-	if v := s.spec.vec; v != nil {
-		rows, err = v.collectRows(lo, lo+s.morselSize, s.spec.vecBatch, vsc)
-		return rows, buf, err
-	}
-	rows, buf, err = s.spec.run(lo, lo+s.morselSize, buf)
-	return rows, buf, err
+	row := s.cur[s.pos]
+	s.pos++
+	return row, true, nil
 }
 
-func (s *parallelScanIter) Next() (types.Row, bool, error) {
-	for {
-		if s.curPos < len(s.cur) {
-			row := s.cur[s.curPos]
-			s.curPos++
-			return row, true, nil
-		}
-		if s.next >= s.morsels {
-			return nil, false, nil
-		}
-		if b, ok := s.pending[s.next]; ok {
-			delete(s.pending, s.next)
-			if b.err != nil {
-				return nil, false, b.err
-			}
-			s.cur, s.curPos = b.rows, 0
-			s.next++
-			continue
-		}
-		// Also wake on cancellation: a worker pinned inside a test hook
-		// (or stalled storage) must not wedge the consumer.
-		var b seqBatch
-		select {
-		case b = <-s.batches:
-		case <-s.gov.Done():
-			return nil, false, s.gov.Err()
-		}
-		if b.err != nil {
-			return nil, false, b.err
-		}
-		s.pending[b.seq] = b
-	}
-}
-
-func (s *parallelScanIter) Close() {
-	if s.stop != nil {
-		close(s.stop)
-		s.wg.Wait()
-		s.stop = nil
+func (s *streamScanIter) Close() {
+	if s.x != nil {
+		s.x.close()
 	}
 	if s.unpin != nil {
 		s.unpin()
 		s.unpin = nil
 	}
-	s.pending = nil
 	s.cur = nil
 }
 
-func (s *parallelScanIter) extraStats(st *OpStats) {
-	st.Workers = int64(s.started)
-	st.Morsels = int64(s.morsels)
+func (s *streamScanIter) extraStats(st *OpStats) {
+	if s.x != nil && s.x.started > 0 {
+		st.Workers = int64(s.x.started)
+		st.Morsels = int64(s.x.morsels)
+	}
 }
 
 // --- parallel group by --------------------------------------------------
@@ -500,12 +730,9 @@ func (g *parallelGroupByIter) Open() error {
 	// The per-morsel partials are garbage once merged; return their
 	// reservation to the budget.
 	g.releasePartials()
-	if g.met != nil {
-		g.met.ParallelPipelines.Inc()
-		g.met.MorselsScanned.Add(int64(morsels))
-		if g.vagg != nil {
-			g.met.VecPipelines.Inc()
-		}
+	g.met.countParallel(morsels)
+	if g.met != nil && g.vagg != nil {
+		g.met.VecPipelines.Inc()
 	}
 	return nil
 }
@@ -807,7 +1034,7 @@ func (b *Builder) buildParallel(n plan.Node) (it Iterator, handled bool, err err
 		if err != nil {
 			return nil, true, err
 		}
-		return b.newParallelScan(spec), true, nil
+		return b.newStreamScan(spec), true, nil
 	case *plan.Filter, *plan.Project:
 		if b.analyze {
 			// EXPLAIN ANALYZE keeps operator boundaries so every plan
@@ -818,7 +1045,7 @@ func (b *Builder) buildParallel(n plan.Node) (it Iterator, handled bool, err err
 		if err != nil || !ok {
 			return nil, ok, err
 		}
-		return b.newParallelScan(spec), true, nil
+		return b.newStreamScan(spec), true, nil
 	case *plan.GroupBy:
 		if b.analyze {
 			return nil, false, nil
@@ -891,8 +1118,8 @@ func (b *Builder) scanSpec(scan *plan.Scan, cond plan.Expr) (*morselSpec, error)
 	return spec, nil
 }
 
-func (b *Builder) newParallelScan(spec *morselSpec) Iterator {
-	return &parallelScanIter{spec: spec, workers: b.workers, morselSize: b.morselSize, met: b.met, gov: b.gov}
+func (b *Builder) newStreamScan(spec *morselSpec) Iterator {
+	return &streamScanIter{spec: spec, workers: b.workers, morselSize: b.morselSize, met: b.met, gov: b.gov}
 }
 
 func (b *Builder) newParallelGroupBy(n *plan.GroupBy, spec *morselSpec) (Iterator, error) {

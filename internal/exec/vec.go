@@ -20,7 +20,7 @@ import (
 // selection vector per branch and merge them by ordered union; computed
 // projections run expression kernels (vecexpr.go) that publish new batch
 // columns. Governance is checked once per batch (the same granularity as
-// the row path's govStride), and the row-iterator adapter (vecRowsIter)
+// the row path's govStride), and the streaming scan (streamScanIter)
 // decodes batches back into rows so every downstream operator — and
 // every result — is row- and order-identical to the classic executor.
 //
@@ -237,24 +237,6 @@ func (s *vecSpec) decodeRows(sc *vecScratch, dst []types.Row) []types.Row {
 		dst = append(dst, flat[i*w:(i+1)*w:(i+1)*w])
 	}
 	return dst
-}
-
-// collectRows materializes the decoded rows of row positions [lo, hi)
-// batch-at-a-time — the morsel-parallel workers' entry point into the
-// batch pipeline.
-func (s *vecSpec) collectRows(lo, hi, batchSize int, sc *vecScratch) ([]types.Row, error) {
-	var rows []types.Row
-	for pos := lo; pos < hi; pos += batchSize {
-		end := pos + batchSize
-		if end > hi {
-			end = hi
-		}
-		if err := s.fill(pos, end, sc); err != nil {
-			return nil, err
-		}
-		rows = s.decodeRows(sc, rows)
-	}
-	return rows, nil
 }
 
 // --- filter kernels -----------------------------------------------------
@@ -558,60 +540,4 @@ func (c *vecCmp) runOr(b *Batch, in, out []int32, sc *vecScratch) []int32 {
 		accIdx, otherIdx = otherIdx, accIdx
 	}
 	return append(out, sc.selBufs[accIdx]...)
-}
-
-// --- row adapter --------------------------------------------------------
-
-// vecRowsIter adapts a batch pipeline fragment to the row Iterator
-// contract: it fills batches lazily (so LIMIT stops reading early) and
-// emits decoded rows in position order — exactly the serial scan order.
-type vecRowsIter struct {
-	spec      *vecSpec
-	batchSize int
-
-	sc         *vecScratch
-	unpin      func()
-	total, pos int
-	rows       []types.Row
-	idx        int
-}
-
-func (s *vecRowsIter) Open() error {
-	s.unpin = s.spec.snap.Pin()
-	if err := s.spec.gov.point(PointScan); err != nil {
-		return err
-	}
-	s.total = s.spec.snap.NumRowVersions()
-	s.pos, s.idx, s.rows = 0, 0, nil
-	s.sc = newVecScratch(s.spec)
-	if s.spec.met != nil {
-		s.spec.met.VecPipelines.Inc()
-	}
-	return nil
-}
-
-func (s *vecRowsIter) Next() (types.Row, bool, error) {
-	for s.idx >= len(s.rows) {
-		if s.pos >= s.total {
-			return nil, false, nil
-		}
-		hi := s.pos + s.batchSize
-		if err := s.spec.fill(s.pos, hi, s.sc); err != nil {
-			return nil, false, err
-		}
-		s.pos = hi
-		s.rows = s.spec.decodeRows(s.sc, s.rows[:0])
-		s.idx = 0
-	}
-	row := s.rows[s.idx]
-	s.idx++
-	return row, true, nil
-}
-
-func (s *vecRowsIter) Close() {
-	if s.unpin != nil {
-		s.unpin()
-		s.unpin = nil
-	}
-	s.rows = nil
 }

@@ -144,9 +144,10 @@ func TestCodeMemoEpochs(t *testing.T) {
 	}
 }
 
-// TestVecRowsIterLazyFill checks the adapter only fills batches as rows
-// are pulled, so LIMIT-style early close does not scan the table.
-func TestVecRowsIterLazyFill(t *testing.T) {
+// TestVecScanLazyFill checks the serial streaming scan only fills
+// batches as rows are pulled, so LIMIT-style early close does not scan
+// the table.
+func TestVecScanLazyFill(t *testing.T) {
 	db := storage.NewDB()
 	ctx := plan.NewContext()
 	tbl, err := db.CreateTable("big", types.Schema{{Name: "x", Type: types.TInt}})
@@ -165,8 +166,10 @@ func TestVecRowsIterLazyFill(t *testing.T) {
 	scan.Ords = append(scan.Ords, 0)
 	plan.MarkVectorizable(scan)
 
+	met := &Metrics{}
 	b := NewBuilder(ctx, db, db.CurrentTS())
 	b.SetVectorize(10)
+	b.SetMetrics(met)
 	it, err := b.Build(scan)
 	if err != nil {
 		t.Fatal(err)
@@ -182,11 +185,10 @@ func TestVecRowsIterLazyFill(t *testing.T) {
 	if row[0].Int() != 0 {
 		t.Fatalf("first row = %v", row)
 	}
-	vi, ok := it.(*vecRowsIter)
-	if !ok {
-		t.Fatalf("iterator is %T, want *vecRowsIter", it)
+	if _, ok := it.(*streamScanIter); !ok {
+		t.Fatalf("iterator is %T, want *streamScanIter", it)
 	}
-	if vi.pos > 10 {
-		t.Fatalf("adapter prefetched to pos %d after one row (batch 10)", vi.pos)
+	if n := met.VecBatches.Value(); n > 1 {
+		t.Fatalf("scan filled %d batches after one row (batch 10)", n)
 	}
 }

@@ -546,8 +546,7 @@ func (b *Builder) attachVecStats(f *vecFrag, includeTop bool) {
 	}
 }
 
-// buildVecPipeline builds a bare batch pipeline behind the row-iterator
-// adapter (or the morsel-parallel scan when workers are configured).
+// buildVecPipeline builds a bare batch pipeline, streamed as rows.
 func (b *Builder) buildVecPipeline(n plan.Node) (Iterator, bool, error) {
 	f, ok := b.vecFragment(n)
 	if !ok {
@@ -556,11 +555,14 @@ func (b *Builder) buildVecPipeline(n plan.Node) (Iterator, bool, error) {
 	if b.analyze {
 		b.attachVecStats(f, false)
 	}
-	if b.workers > 1 {
-		spec := &morselSpec{snap: f.spec.snap, ords: f.spec.ords, ranges: f.spec.ranges, vec: f.spec, vecBatch: b.vecSize}
-		return &parallelScanIter{spec: spec, workers: b.workers, morselSize: b.morselSize, met: b.met, gov: b.gov}, true, nil
-	}
-	return &vecRowsIter{spec: f.spec, batchSize: b.vecSize}, true, nil
+	return b.newVecScan(f.spec), true, nil
+}
+
+// newVecScan streams a batch pipeline's decoded rows in position order:
+// inline when serial or within one morsel, through the worker pool
+// otherwise.
+func (b *Builder) newVecScan(spec *vecSpec) Iterator {
+	return b.newStreamScan(&morselSpec{snap: spec.snap, ords: spec.ords, ranges: spec.ranges, vec: spec, vecBatch: b.vecSize})
 }
 
 // buildVecUnionPipeline runs Filter/Project stages stacked over a
@@ -580,12 +582,7 @@ func (b *Builder) buildVecUnionPipeline(n plan.Node) (Iterator, bool, error) {
 	}
 	children := make([]Iterator, len(frags))
 	for i, f := range frags {
-		if b.workers > 1 {
-			spec := &morselSpec{snap: f.spec.snap, ords: f.spec.ords, ranges: f.spec.ranges, vec: f.spec, vecBatch: b.vecSize}
-			children[i] = &parallelScanIter{spec: spec, workers: b.workers, morselSize: b.morselSize, met: b.met, gov: b.gov}
-		} else {
-			children[i] = &vecRowsIter{spec: f.spec, batchSize: b.vecSize}
-		}
+		children[i] = b.newVecScan(f.spec)
 	}
 	return &unionIter{children: children}, true, nil
 }
@@ -627,7 +624,9 @@ func (b *Builder) buildVecGroupBy(n *plan.GroupBy) (Iterator, bool, error) {
 		b.attachVecStats(f, true)
 		b.nodeStats(n).Mode = "vector"
 	}
-	if b.workers > 1 {
+	// A single-morsel input folds serially: its one partial table would
+	// be the final table, so the partial/merge step is pure overhead.
+	if b.workers > 1 && f.spec.snap.NumRowVersions() > b.morselSize {
 		g := &parallelGroupByIter{
 			spec:       &morselSpec{snap: f.spec.snap, ords: f.spec.ords, ranges: f.spec.ranges},
 			vagg:       va,

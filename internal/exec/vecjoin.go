@@ -41,9 +41,8 @@ type vecHashJoinIter struct {
 	// down to the given combined positions during emission (a fused
 	// parent Project of bare column refs); nil emits the full row.
 	proj       []int
-	arena      rowArena
 	batchSize  int
-	workers    int // >1 enables the parallel probe
+	workers    int // >1 probes morsels on a worker pool
 	morselSize int
 	met        *Metrics
 	gov        *Governance
@@ -53,24 +52,16 @@ type vecHashJoinIter struct {
 	intTable  map[int64][]int32
 	strTable  map[string][]int32
 	matched   []bool // buildLeft && leftOuter
-	keyBuf    []byte
 
-	// serial probe state
-	sc        *vecScratch
-	unpin     func()
-	total     int
-	pos       int
-	probeRows []types.Row
-	probeIdx  int
-	pending   []types.Row
-	pendPos   int
-	tailPos   int
-
-	// parallel probe state
-	parallel            bool
-	out                 []types.Row
-	outPos              int
-	parWorkers, morsels int
+	// probe stream: the probe pipeline's joined batches arrive through
+	// an exchange (inline when serial or within one morsel).
+	x       *exchange
+	unpin   func()
+	cur     []types.Row
+	pos     int
+	drained bool
+	tail    prober // NULL-extends the unmatched build rows
+	tailPos int
 }
 
 func (j *vecHashJoinIter) Open() error {
@@ -87,14 +78,12 @@ func (j *vecHashJoinIter) Open() error {
 	if j.buildLeft && j.leftOuter {
 		j.matched = make([]bool, len(j.buildRows))
 	}
-	if j.workers > 1 {
-		return j.probeParallel()
-	}
 	j.unpin = j.probe.snap.Pin()
-	j.total = j.probe.snap.NumRowVersions()
-	j.pos, j.probeIdx, j.probeRows = 0, 0, nil
-	j.pending, j.pendPos, j.tailPos = nil, 0, 0
-	j.sc = newVecScratch(j.probe)
+	total := j.probe.snap.NumRowVersions()
+	j.x = startExchange(total, j.morselSize, j.batchSize, j.workers, j.gov, j.probeCursor)
+	j.met.countParallel(j.x.morsels)
+	j.cur, j.pos, j.drained = nil, 0, false
+	j.tail, j.tailPos = prober{j: j}, 0
 	return nil
 }
 
@@ -119,6 +108,7 @@ func (j *vecHashJoinIter) buildTable() error {
 	default:
 		j.strTable = make(map[string][]int32, len(j.buildRows))
 	}
+	var keyBuf []byte
 	for idx, row := range j.buildRows {
 		if err := j.acct.add(rowBytes(row)); err != nil {
 			return err
@@ -139,7 +129,8 @@ func (j *vecHashJoinIter) buildTable() error {
 			k := v.Str()
 			j.strTable[k] = append(j.strTable[k], int32(idx))
 		default:
-			key, null := j.appendKeyAt(row, j.buildKeyPos)
+			key, null := appendKeyAt(keyBuf[:0], row, j.buildKeyPos)
+			keyBuf = key
 			if null {
 				continue
 			}
@@ -149,24 +140,33 @@ func (j *vecHashJoinIter) buildTable() error {
 	return nil
 }
 
-// appendKeyAt encodes the key values at the given row positions into
-// the shared key buffer; null is true when any key value is NULL (the
-// row never matches, mirroring appendEvalKey).
-func (j *vecHashJoinIter) appendKeyAt(row types.Row, pos []int) ([]byte, bool) {
-	j.keyBuf = j.keyBuf[:0]
+// appendKeyAt encodes the key values at the given row positions onto
+// buf; null is true when any key value is NULL (the row never matches,
+// mirroring appendEvalKey).
+func appendKeyAt(buf []byte, row types.Row, pos []int) ([]byte, bool) {
 	for _, p := range pos {
 		v := row[p]
 		if v.IsNull() {
-			return nil, true
+			return buf, true
 		}
-		j.keyBuf = v.AppendKey(j.keyBuf)
+		buf = v.AppendKey(buf)
 	}
-	return j.keyBuf, false
+	return buf, false
+}
+
+// prober is the per-goroutine probe state: the key scratch and the
+// output row arena. The build table it reads is immutable after Open,
+// so any number of probers share one join.
+type prober struct {
+	j      *vecHashJoinIter
+	keyBuf []byte
+	arena  rowArena
 }
 
 // lookup returns the build-row indexes matching the probe row's key, in
 // build insertion order (= build scan order, like the row joins).
-func (j *vecHashJoinIter) lookup(row types.Row) []int32 {
+func (p *prober) lookup(row types.Row) []int32 {
+	j := p.j
 	switch j.keyKind {
 	case jkInt:
 		v := row[j.probeKeyPos[0]]
@@ -181,7 +181,8 @@ func (j *vecHashJoinIter) lookup(row types.Row) []int32 {
 		}
 		return j.strTable[v.Str()]
 	default:
-		key, null := j.appendKeyAt(row, j.probeKeyPos)
+		key, null := appendKeyAt(p.keyBuf[:0], row, j.probeKeyPos)
+		p.keyBuf = key
 		if null {
 			return nil
 		}
@@ -209,9 +210,10 @@ func (a *rowArena) take(n int) types.Row {
 // outRow assembles one output row from the logical left and right
 // halves, applying the fused projection when present. right == nil
 // NULL-extends to rightWidth (the row joins' outer-row shape).
-func (j *vecHashJoinIter) outRow(left, right types.Row) types.Row {
+func (p *prober) outRow(left, right types.Row) types.Row {
+	j := p.j
 	if j.proj == nil {
-		out := j.arena.take(len(left) + j.rightWidth)
+		out := p.arena.take(len(left) + j.rightWidth)
 		copy(out, left)
 		if right != nil {
 			copy(out[len(left):], right)
@@ -222,13 +224,13 @@ func (j *vecHashJoinIter) outRow(left, right types.Row) types.Row {
 		}
 		return out
 	}
-	out := j.arena.take(len(j.proj))
-	for i, p := range j.proj {
+	out := p.arena.take(len(j.proj))
+	for i, pos := range j.proj {
 		switch {
-		case p < len(left):
-			out[i] = left[p]
+		case pos < len(left):
+			out[i] = left[pos]
 		case right != nil:
-			out[i] = right[p-len(left)]
+			out[i] = right[pos-len(left)]
 		default:
 			out[i] = types.NewNull(types.TNull)
 		}
@@ -236,173 +238,105 @@ func (j *vecHashJoinIter) outRow(left, right types.Row) types.Row {
 	return out
 }
 
-// emitProbe appends the join output for one probe row to dst, updating
-// the matched bitmap in build-left mode. The emitted shapes replicate
-// the row joins: build-right emits probe++build (NULL-extending
-// unmatched probes under LEFT OUTER); build-left emits build++probe for
-// matches only, leaving unmatched build rows for the tail sweep. Both
-// orders are the plan's left++right, since the build side is whichever
-// input the optimizer chose to materialize.
-func (j *vecHashJoinIter) emitProbe(row types.Row, matches []int32, dst []types.Row) []types.Row {
+// emit appends the join output for one probe row to c. The emitted
+// shapes replicate the row joins: build-right emits probe++build
+// (NULL-extending unmatched probes under LEFT OUTER); build-left emits
+// build++probe for matches only and records them in c.matched, leaving
+// unmatched build rows for the tail sweep. Both orders are the plan's
+// left++right, since the build side is whichever input the optimizer
+// chose to materialize.
+func (p *prober) emit(row types.Row, matches []int32, c *chunk) {
+	j := p.j
 	if j.buildLeft {
 		for _, bi := range matches {
-			if j.matched != nil {
-				j.matched[bi] = true
-			}
-			dst = append(dst, j.outRow(j.buildRows[bi], row))
+			c.rows = append(c.rows, p.outRow(j.buildRows[bi], row))
 		}
-		return dst
+		if j.leftOuter {
+			c.matched = append(c.matched, matches...)
+		}
+		return
 	}
 	for _, bi := range matches {
-		dst = append(dst, j.outRow(row, j.buildRows[bi]))
+		c.rows = append(c.rows, p.outRow(row, j.buildRows[bi]))
 	}
 	if len(matches) == 0 && j.leftOuter {
-		dst = append(dst, j.outRow(row, nil))
+		c.rows = append(c.rows, p.outRow(row, nil))
 	}
-	return dst
 }
 
-// tailRow emits the next unmatched build row, NULL-extended (build-left
-// LEFT OUTER only), advancing tailPos.
-func (j *vecHashJoinIter) tailRow() (types.Row, bool) {
-	for j.tailPos < len(j.buildRows) {
-		bi := j.tailPos
-		j.tailPos++
-		if j.matched[bi] {
-			continue
+// probeCursor joins probe positions [lo, hi) one probe batch at a time,
+// skipping batches that join to nothing. Probe output is not metered,
+// matching the row joins' streaming probes.
+func (j *vecHashJoinIter) probeCursor(lo, hi int) cursor {
+	p := &prober{j: j}
+	pos := lo
+	var sc *vecScratch
+	var in []types.Row
+	return func(dst []types.Row) (chunk, bool, error) {
+		if sc == nil {
+			sc = newVecScratch(j.probe)
 		}
-		return j.outRow(j.buildRows[bi], nil), true
+		for pos < hi {
+			end := min(pos+j.batchSize, hi)
+			if err := j.probe.fill(pos, end, sc); err != nil {
+				return chunk{}, false, err
+			}
+			pos = end
+			in = j.probe.decodeRows(sc, in[:0])
+			c := chunk{rows: dst[:0]}
+			for _, row := range in {
+				p.emit(row, p.lookup(row), &c)
+			}
+			if len(c.rows) > 0 {
+				return c, true, nil
+			}
+		}
+		return chunk{}, false, nil
 	}
-	return nil, false
 }
 
 func (j *vecHashJoinIter) Next() (types.Row, bool, error) {
-	if j.parallel {
-		if j.outPos >= len(j.out) {
-			return nil, false, nil
+	for j.pos >= len(j.cur) {
+		if j.drained {
+			return j.tailRow()
 		}
-		row := j.out[j.outPos]
-		j.outPos++
-		return row, true, nil
-	}
-	for {
-		if j.pendPos < len(j.pending) {
-			row := j.pending[j.pendPos]
-			j.pendPos++
-			return row, true, nil
+		c, ok, err := j.x.next()
+		if err != nil {
+			return nil, false, err
 		}
-		if j.probeIdx < len(j.probeRows) {
-			row := j.probeRows[j.probeIdx]
-			j.probeIdx++
-			j.pending = j.emitProbe(row, j.lookup(row), j.pending[:0])
-			j.pendPos = 0
+		if !ok {
+			j.drained = true
 			continue
 		}
-		if j.pos < j.total {
-			hi := j.pos + j.batchSize
-			if err := j.probe.fill(j.pos, hi, j.sc); err != nil {
-				return nil, false, err
-			}
-			j.pos = hi
-			j.probeRows = j.probe.decodeRows(j.sc, j.probeRows[:0])
-			j.probeIdx = 0
-			continue
-		}
-		// Probe exhausted: NULL-extend unmatched build rows (build-left
-		// LEFT OUTER), in build order.
-		if j.matched != nil {
-			if row, ok := j.tailRow(); ok {
-				return row, true, nil
-			}
-		}
-		return nil, false, nil
-	}
-}
-
-// probeMorsel is one probe morsel's output: the joined rows plus the
-// build indexes it matched (applied serially during the ordered merge so
-// the matched bitmap needs no synchronization).
-type probeMorsel struct {
-	rows       []types.Row
-	matchedIdx []int32
-}
-
-// probeParallel runs the probe side through the morsel worker pool and
-// merges morsels in sequence order, which reproduces the serial probe
-// order exactly. The matched bitmap and the outer tail are applied after
-// the merge. Probe output is not metered, matching the row joins'
-// streaming probes.
-func (j *vecHashJoinIter) probeParallel() error {
-	unpin := j.probe.snap.Pin()
-	defer unpin()
-	total := j.probe.snap.NumRowVersions()
-	morsels := (total + j.morselSize - 1) / j.morselSize
-	trackMatches := j.buildLeft && j.leftOuter
-	work := func(seq int) (probeMorsel, error) {
-		// Worker clone: the shared iterator's scratch and key buffer are
-		// not used, so lookups must stay read-only — hence the local
-		// keyBuf-carrying shallow copy.
-		w := *j
-		w.matched = nil
-		w.keyBuf = nil
-		w.arena = rowArena{}
-		sc := newVecScratch(j.probe)
-		lo := seq * j.morselSize
-		hi := lo + j.morselSize
-		if hi > total {
-			hi = total
-		}
-		var pm probeMorsel
-		var rows []types.Row
-		for pos := lo; pos < hi; pos += j.batchSize {
-			end := pos + j.batchSize
-			if end > hi {
-				end = hi
-			}
-			if err := j.probe.fill(pos, end, sc); err != nil {
-				return probeMorsel{}, err
-			}
-			rows = j.probe.decodeRows(sc, rows[:0])
-			for _, row := range rows {
-				matches := w.lookup(row)
-				if trackMatches {
-					pm.matchedIdx = append(pm.matchedIdx, matches...)
-				}
-				pm.rows = w.emitProbe(row, matches, pm.rows)
-			}
-		}
-		return pm, nil
-	}
-	results, err := collectMorsels(morsels, j.workers, work)
-	if err != nil {
-		return err
-	}
-	for _, pm := range results {
-		j.out = append(j.out, pm.rows...)
-		for _, bi := range pm.matchedIdx {
+		// Matches are applied as chunks are consumed, in probe order, so
+		// the bitmap is complete when the stream drains.
+		for _, bi := range c.matched {
 			j.matched[bi] = true
 		}
+		j.cur, j.pos = c.rows, 0
 	}
-	if trackMatches {
-		for {
-			row, ok := j.tailRow()
-			if !ok {
-				break
-			}
-			j.out = append(j.out, row)
+	row := j.cur[j.pos]
+	j.pos++
+	return row, true, nil
+}
+
+// tailRow emits the next unmatched build row, NULL-extended, in build
+// order (build-left LEFT OUTER only; nothing otherwise).
+func (j *vecHashJoinIter) tailRow() (types.Row, bool, error) {
+	for j.matched != nil && j.tailPos < len(j.buildRows) {
+		bi := j.tailPos
+		j.tailPos++
+		if !j.matched[bi] {
+			return j.tail.outRow(j.buildRows[bi], nil), true, nil
 		}
 	}
-	j.parallel = true
-	j.outPos = 0
-	j.parWorkers = j.workers
-	if j.parWorkers > morsels {
-		j.parWorkers = morsels
-	}
-	j.morsels = morsels
-	return nil
+	return nil, false, nil
 }
 
 func (j *vecHashJoinIter) Close() {
+	if j.x != nil {
+		j.x.close()
+	}
 	if j.unpin != nil {
 		j.unpin()
 		j.unpin = nil
@@ -411,9 +345,7 @@ func (j *vecHashJoinIter) Close() {
 	j.buildRows = nil
 	j.intTable = nil
 	j.strTable = nil
-	j.out = nil
-	j.pending = nil
-	j.probeRows = nil
+	j.cur = nil
 }
 
 // buildStats mirrors the row joins: build-left counts every
@@ -445,8 +377,8 @@ func (j *vecHashJoinIter) buildStats() (int64, int64) {
 func (j *vecHashJoinIter) memBytes() int64 { return j.acct.bytes() }
 
 func (j *vecHashJoinIter) extraStats(st *OpStats) {
-	if j.parallel {
-		st.Workers = int64(j.parWorkers)
-		st.Morsels = int64(j.morsels)
+	if j.x != nil && j.x.started > 0 {
+		st.Workers = int64(j.x.started)
+		st.Morsels = int64(j.x.morsels)
 	}
 }

@@ -196,18 +196,11 @@ func (d *vecDistinctIter) foldParallel() error {
 		if err != nil {
 			return err
 		}
-		if d.met != nil {
-			d.met.ParallelPipelines.Inc()
-			d.met.MorselsScanned.Add(int64(morsels))
+		d.met.countParallel(morsels)
+		if w := poolWorkers(d.workers, morsels); w > 0 {
+			d.parWorkers = max(d.parWorkers, w)
+			d.morsels += morsels
 		}
-		w := d.workers
-		if w > morsels {
-			w = morsels
-		}
-		if w > d.parWorkers {
-			d.parWorkers = w
-		}
-		d.morsels += morsels
 		for _, cands := range results {
 			for _, c := range cands {
 				if err := d.stride.tick(); err != nil {

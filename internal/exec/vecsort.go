@@ -294,18 +294,11 @@ func (t *vecTopKIter) sweepParallel(h *topkHeap) error {
 		if err != nil {
 			return err
 		}
-		if t.met != nil {
-			t.met.ParallelPipelines.Inc()
-			t.met.MorselsScanned.Add(int64(morsels))
+		t.met.countParallel(morsels)
+		if w := poolWorkers(t.workers, morsels); w > 0 {
+			t.parWorkers = max(t.parWorkers, w)
+			t.morsels += morsels
 		}
-		w := t.workers
-		if w > morsels {
-			w = morsels
-		}
-		if w > t.parWorkers {
-			t.parWorkers = w
-		}
-		t.morsels += morsels
 		for _, items := range results {
 			for _, it := range items {
 				if h.push(it) {
