@@ -100,9 +100,11 @@ type Options struct {
 	// merge; 0 uses DefaultMergeThreshold. Ignored unless AutoMerge.
 	MergeThreshold int
 	// GCInterval enables periodic MVCC version GC: every interval the
-	// maintenance goroutine vacuums row versions that the snapshot
-	// watermark proves invisible to all present and future readers.
-	// 0 (the default) disables GC.
+	// maintenance goroutine runs storage.DB.VacuumDue, which compacts a
+	// table only once the row versions the snapshot watermark proves
+	// invisible to all present and future readers reach 1/8 of its
+	// stored versions; a tick with less to reclaim costs a read-locked
+	// count per table. 0 (the default) disables GC.
 	GCInterval time.Duration
 
 	// StatementTimeout bounds each query's wall time — admission wait,

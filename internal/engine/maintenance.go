@@ -5,11 +5,15 @@ import (
 )
 
 // Background storage maintenance: the engine-side driver of the storage
-// layer's delta merge and MVCC version GC. One goroutine per engine
-// wakes on a ticker and (a) merges any table whose delta reached the
-// configured threshold, (b) vacuums dead row versions past the snapshot
-// watermark. The zero Options start no goroutine — maintenance stays
-// fully manual (MergeAllDeltas / DB.Vacuum).
+// layer's delta merge, MVCC version GC and checkpoints. One goroutine
+// per engine wakes on a ticker and (a) merges any table whose delta
+// reached the configured threshold, (b) on every GC interval runs the
+// storage layer's debt-triggered vacuum (DB.VacuumDue), which compacts
+// only tables whose reclaimable dead versions reach 1/8 of their stored
+// versions, (c) checkpoints once enough commits accumulated. Each pass
+// costs O(change) rather than O(table) per tick. The zero Options start
+// no goroutine — maintenance stays fully manual (MergeAllDeltas /
+// DB.Vacuum).
 
 // mergePollInterval is how often AutoMerge checks delta sizes when
 // GCInterval does not dictate a cadence of its own.
@@ -70,7 +74,7 @@ func (e *Engine) maintenanceLoop(m *maintenance, o Options, interval time.Durati
 				sinceGC = 0
 				// Fault-injection errors abort the pass; the next tick
 				// retries.
-				_, _ = e.db.Vacuum()
+				_, _ = e.db.VacuumDue()
 			}
 		}
 		if o.WALDir != "" && o.CheckpointEvery > 0 &&

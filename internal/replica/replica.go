@@ -389,15 +389,16 @@ func (r *Replica) rebootstrap() bool {
 }
 
 // housekeep runs the replica-side analogue of the primary's background
-// maintenance: merge each table's accumulated delta into its main
-// fragment (refreshing zone maps) and vacuum versions below the
-// replica's own watermark. Failures here are not sticky — a merge
-// racing a concurrent re-bootstrap swap is harmless.
+// maintenance, under the same storage policy: merge each table's
+// accumulated delta into its main fragment (extending zone maps) and
+// run the debt-triggered vacuum (DB.VacuumDue) below the replica's own
+// watermark. Failures here are not sticky — a merge racing a concurrent
+// re-bootstrap swap is harmless.
 func (r *Replica) housekeep(db *storage.DB) {
 	for _, name := range db.TableNames() {
 		if tbl, ok := db.Table(name); ok {
 			_ = tbl.MergeDelta()
 		}
 	}
-	_, _ = db.Vacuum()
+	_, _ = db.VacuumDue()
 }

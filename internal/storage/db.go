@@ -17,7 +17,7 @@ type DB struct {
 	mu     sync.RWMutex
 	tables map[string]*Table
 
-	commitMu sync.Mutex // serializes commits (and excludes Vacuum)
+	commitMu sync.Mutex // serializes commits (and excludes vacuum passes)
 	clock    uint64     // last issued commit timestamp
 
 	// leaseMu guards leases, the refcounted set of registered reader
@@ -33,8 +33,9 @@ type DB struct {
 
 	// statsEpoch advances when data moves enough to plausibly change
 	// cost-based plan choices: a commit that carries a table's visible
-	// row count across an order-of-magnitude boundary, a delta merge, or
-	// a vacuum pass. Plan caches compare it at lookup time so a plan
+	// row count across an order-of-magnitude boundary, or a statistics
+	// refresh (explicit, a compacting vacuum pass, or a delta merge that
+	// crossed the merge-debt share; see stats.go). Plan caches compare it at lookup time so a plan
 	// cached against an empty build side does not keep its build-side
 	// choice forever after a bulk load inverts the input sizes.
 	statsEpoch atomic.Uint64
@@ -109,8 +110,9 @@ func (db *DB) SchemaEpoch() uint64 { return db.schemaEpoch.Load() }
 
 // StatsEpoch returns the coarse data-movement counter: it advances when
 // a commit moves a table's visible row count across an order-of-magnitude
-// boundary, on every delta merge, and on every vacuum that removed
-// versions. Plan caches treat a moved stats epoch like DDL and replan,
+// boundary and on every statistics refresh (explicit, piggybacked on a
+// vacuum that removed versions, or on a delta merge that crossed the
+// merge-debt share). Plan caches treat a moved stats epoch like DDL and replan,
 // so cost-based choices (hash-join build side, join order) track the
 // data.
 func (db *DB) StatsEpoch() uint64 { return db.statsEpoch.Load() }

@@ -32,10 +32,18 @@ type Metrics struct {
 	// (explicit RefreshStats plus the ones piggybacked on delta merges
 	// and vacuums).
 	StatsRefreshes metrics.Counter
+
+	// MergeNs, VacuumNs and CheckpointNs time each maintenance pass in
+	// nanoseconds, lock waits and lock hold included: every MergeDelta,
+	// every vacuum pass that took the commit lock (compacting or not),
+	// and every checkpoint that wrote a file.
+	MergeNs      metrics.Histogram
+	VacuumNs     metrics.Histogram
+	CheckpointNs metrics.Histogram
 }
 
-// RegisterWith registers every storage counter in a metrics registry
-// under the "storage." prefix.
+// RegisterWith registers every storage counter and histogram in a
+// metrics registry under the "storage." prefix.
 func (m *Metrics) RegisterWith(r *metrics.Registry) {
 	r.RegisterCounter("storage.commits", &m.Commits)
 	r.RegisterCounter("storage.rows_inserted", &m.RowsInserted)
@@ -47,6 +55,9 @@ func (m *Metrics) RegisterWith(r *metrics.Registry) {
 	r.RegisterCounter("storage.vacuumed_versions", &m.VacuumedVersions)
 	r.RegisterCounter("storage.zonemap_block_skips", &m.ZoneMapSkips)
 	r.RegisterCounter("storage.stats_refreshes", &m.StatsRefreshes)
+	r.RegisterHistogram("storage.merge_ns", &m.MergeNs)
+	r.RegisterHistogram("storage.vacuum_ns", &m.VacuumNs)
+	r.RegisterHistogram("storage.checkpoint_ns", &m.CheckpointNs)
 }
 
 // Metrics returns the DB's storage counters.

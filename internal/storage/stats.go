@@ -15,11 +15,16 @@ import (
 //     they are the size of the unique index the table maintains anyway.
 //   - Full column statistics (distinct counts from the dictionary
 //     encodings, min/max from zone maps, null counts) are rebuilt by
-//     RefreshStats, which piggybacks on the existing rebuild paths —
-//     delta merge and vacuum — where the rows are being walked anyway.
-//     Between refreshes they may lag the data; the estimator treats them
-//     as estimates, and the DB-level stats epoch (see statsEpoch in
-//     db.go) tells plan caches when staleness could matter.
+//     RefreshStats and piggybacked on the maintenance passes. A
+//     compacting vacuum always refreshes (it rebuilt every column
+//     anyway). A delta merge refreshes only when the rows merged since
+//     the last refresh reach 1/debtShare of the stored versions, or the
+//     table has no statistics yet, so the O(table) walk is amortized
+//     over at least that much change. Between refreshes they may lag
+//     the data; the estimator treats them as estimates, and the
+//     DB-level stats epoch (see statsEpoch in db.go), which moves only
+//     with a refresh or a row-count bucket crossing, tells plan caches
+//     when staleness could matter.
 
 // StatsSnapshot returns the table's current statistics: the exact
 // visible row count, the column statistics from the last refresh (zero
@@ -45,8 +50,8 @@ func (t *Table) StatsSnapshot() types.TableStats {
 }
 
 // RefreshStats rebuilds the per-column statistics from the current data
-// and bumps the owning DB's stats epoch. Delta merge and vacuum call it
-// implicitly.
+// and bumps the owning DB's stats epoch. Vacuum and (gated by merge
+// debt) delta merge refresh implicitly.
 func (t *Table) RefreshStats() {
 	t.mu.Lock()
 	t.refreshStatsLocked()
@@ -113,6 +118,7 @@ func (t *Table) refreshStatsLocked() {
 		}
 	}
 	t.colStats = cols
+	t.mergedSinceStats = 0
 	t.metrics.StatsRefreshes.Inc()
 }
 

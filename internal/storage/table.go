@@ -3,6 +3,7 @@ package storage
 import (
 	"fmt"
 	"sync"
+	"time"
 
 	"vdm/internal/types"
 	"vdm/internal/wal"
@@ -69,11 +70,15 @@ type Table struct {
 	version uint64 // commit TS of the last committed change
 
 	// liveRows is the exact number of currently-visible rows, maintained
-	// inline by insert/delete/rollback; colStats holds the per-column
-	// statistics from the last refreshStatsLocked (nil before the first
-	// refresh). See stats.go.
-	liveRows int64
-	colStats []types.ColStats
+	// inline by insert/delete/rollback. Every other stored version is
+	// dead, so len(data.begin)-liveRows is the inline dead-version
+	// count the debt-triggered vacuum reads (vacuum.go). colStats holds
+	// the per-column statistics from the last refreshStatsLocked (nil
+	// before the first refresh), and mergedSinceStats counts the rows
+	// delta merges moved into main since then. See stats.go.
+	liveRows         int64
+	colStats         []types.ColStats
+	mergedSinceStats int
 
 	// metrics receives storage counters; tables created through
 	// DB.CreateTable share the DB's instance, standalone tables get
@@ -331,30 +336,42 @@ func (t *Table) deleteLocked(r int, ts uint64) {
 
 // MergeDelta folds all delta fragments into the main fragments,
 // mirroring HANA's delta merge. Visibility metadata and row positions
-// are unaffected, so merges coexist with concurrent scans. The
-// BeforeMerge/AfterMerge fault-injection hooks run outside the table
-// lock; a BeforeMerge error aborts the merge untouched.
+// are unaffected, so merges coexist with concurrent scans. Its cost
+// follows the delta, not the table: zone maps are extended over the
+// merged rows only, and the column statistics are rebuilt (bumping the
+// stats epoch) only once the rows merged since the last refresh reach
+// 1/debtShare of the stored versions, or when the table has none yet.
+// The BeforeMerge/AfterMerge fault-injection hooks run outside the
+// table lock; a BeforeMerge error aborts the merge untouched.
 func (t *Table) MergeDelta() error {
 	if h := t.hooks(); h != nil && h.BeforeMerge != nil {
 		if err := h.BeforeMerge(t.name); err != nil {
 			return err
 		}
 	}
+	start := time.Now()
 	t.mu.Lock()
 	t.metrics.DeltaMerges.Inc()
-	for i, c := range t.data.cols {
+	d := t.data
+	if len(d.cols) > 0 {
+		t.mergedSinceStats += d.cols[0].delta.len()
+	}
+	for i, c := range d.cols {
 		if err := c.mergeDelta(); err != nil {
 			t.mu.Unlock()
 			return fmt.Errorf("storage: merge %s.%s: %v", t.name, t.schema[i].Name, err)
 		}
 	}
-	t.refreshZoneMapsLocked()
-	// The merge just walked every row; refresh the column statistics
-	// while the data is hot and let plan caches know sizes may have
-	// consolidated.
-	t.refreshStatsLocked()
+	d.extendZoneMaps()
+	refresh := t.colStats == nil || overDebt(t.mergedSinceStats, len(d.begin))
+	if refresh {
+		t.refreshStatsLocked()
+	}
 	t.mu.Unlock()
-	t.bumpStatsEpoch()
+	t.metrics.MergeNs.Observe(int64(time.Since(start)))
+	if refresh {
+		t.bumpStatsEpoch()
+	}
 	if h := t.hooks(); h != nil && h.AfterMerge != nil {
 		h.AfterMerge(t.name)
 	}
@@ -462,27 +479,6 @@ func (s *Snapshot) Count() int {
 		}
 	}
 	return n
-}
-
-// MaterializeVisible materializes every visible row in position order
-// under a single lock acquisition. Checkpoint capture uses it instead
-// of ForEach+Row so a full-table image costs one lock round trip
-// rather than one per row.
-func (s *Snapshot) MaterializeVisible() []types.Row {
-	s.t.mu.RLock()
-	defer s.t.mu.RUnlock()
-	d := s.data
-	var out []types.Row
-	for r := range d.begin {
-		if d.begin[r] <= s.ts && s.ts < d.end[r] {
-			row := make(types.Row, len(d.cols))
-			for i, c := range d.cols {
-				row[i] = c.get(r)
-			}
-			out = append(out, row)
-		}
-	}
-	return out
 }
 
 // Value reads column col of row position row.

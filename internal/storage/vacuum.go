@@ -1,6 +1,9 @@
 package storage
 
-import "fmt"
+import (
+	"fmt"
+	"time"
+)
 
 // MVCC version GC. Vacuum physically removes row versions whose end
 // timestamp is at or below the snapshot watermark: such versions are
@@ -12,6 +15,29 @@ import "fmt"
 // the table's current data version, and leaves an old→new position
 // remap on the retired version so pinned snapshots and buffered
 // transaction writes can translate their row positions forward.
+//
+// A compaction costs O(table), so the background policy (VacuumDue)
+// pays for one only when it reclaims at least 1/debtShare of the stored
+// versions. The table's dead-version count is kept inline — every
+// stored version is either live (counted by liveRows) or dead — so a
+// table below the share is skipped under a read lock alone. One at or
+// above it takes the commit lock and counts the versions actually
+// reclaimable at the watermark; a reader lease pinning most of the dead
+// versions keeps that count below the share, and the pass returns
+// without rebuilding anything. Explicit Vacuum, VacuumTable and
+// DB.Vacuum stay unconditional.
+
+// debtShare sets the maintenance debt a background pass waits for
+// before it pays for an O(table) rebuild: 1/debtShare of the table's
+// stored row versions, counted as reclaimable dead versions for
+// VacuumDue and as rows merged since the last statistics refresh for
+// MergeDelta.
+const debtShare = 8
+
+// overDebt reports whether a nonzero debt reaches 1/debtShare of total.
+func overDebt(debt, total int) bool {
+	return debt > 0 && debt*debtShare >= total
+}
 
 // Vacuum compacts away row versions with end timestamp <= watermark and
 // returns how many it removed. For a table owned by a DB the pass
@@ -21,11 +47,32 @@ import "fmt"
 // trust the caller's watermark. The BeforeVacuum fault-injection hook
 // may abort the pass with an error; AfterVacuum observes the count.
 func (t *Table) Vacuum(watermark uint64) (int, error) {
+	return t.vacuumPass(watermark, false)
+}
+
+// vacuumDue is the debt-triggered pass behind DB.VacuumDue: it skips
+// the table under a read lock while its dead versions stay below
+// 1/debtShare of the stored versions, and otherwise compacts only if
+// the versions reclaimable at the watermark reach that share.
+func (t *Table) vacuumDue() (int, error) {
+	t.mu.RLock()
+	due := overDebt(len(t.data.begin)-int(t.liveRows), len(t.data.begin))
+	t.mu.RUnlock()
+	if !due {
+		return 0, nil
+	}
+	return t.vacuumPass(endInfinity, true)
+}
+
+// vacuumPass runs one vacuum pass with its hooks, locking and timing;
+// onDebt selects the VacuumDue rule (see vacuum).
+func (t *Table) vacuumPass(watermark uint64, onDebt bool) (int, error) {
 	if h := t.hooks(); h != nil && h.BeforeVacuum != nil {
 		if err := h.BeforeVacuum(t.name); err != nil {
 			return 0, err
 		}
 	}
+	start := time.Now()
 	var removed int
 	if t.db != nil {
 		// commitMu excludes concurrent commits (including their rollback
@@ -35,11 +82,12 @@ func (t *Table) Vacuum(watermark uint64) (int, error) {
 		if w := t.db.watermarkLocked(); w < watermark {
 			watermark = w
 		}
-		removed = t.vacuum(watermark)
+		removed = t.vacuum(watermark, onDebt)
 		t.db.commitMu.Unlock()
 	} else {
-		removed = t.vacuum(watermark)
+		removed = t.vacuum(watermark, onDebt)
 	}
+	t.metrics.VacuumNs.Observe(int64(time.Since(start)))
 	if h := t.hooks(); h != nil && h.AfterVacuum != nil {
 		h.AfterVacuum(t.name, removed)
 	}
@@ -47,25 +95,32 @@ func (t *Table) Vacuum(watermark uint64) (int, error) {
 }
 
 // vacuum performs the compaction; the caller holds the DB commit lock
-// when the table is DB-owned.
-func (t *Table) vacuum(watermark uint64) int {
+// when the table is DB-owned. With onDebt set it compacts only when the
+// reclaimable versions reach 1/debtShare of the stored ones; otherwise
+// it returns 0 having rebuilt, counted and bumped nothing.
+func (t *Table) vacuum(watermark uint64, onDebt bool) int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	d := t.data
 	total := len(d.begin)
+	removed := 0
+	for _, end := range d.end {
+		if end <= watermark {
+			removed++
+		}
+	}
+	if removed == 0 || (onDebt && !overDebt(removed, total)) {
+		return 0
+	}
 	remap := make([]int, total)
 	kept := 0
-	for r := 0; r < total; r++ {
+	for r := range remap {
 		if d.end[r] <= watermark {
 			remap[r] = -1
 		} else {
 			remap[r] = kept
 			kept++
 		}
-	}
-	removed := total - kept
-	if removed == 0 {
-		return 0
 	}
 
 	nd := &tableData{
@@ -149,13 +204,28 @@ func (db *DB) VacuumTable(name string) (int, error) {
 // snapshot watermark and returns the total number of row versions
 // removed. It stops at the first fault-injection error.
 func (db *DB) Vacuum() (int, error) {
+	return db.vacuumEach(func(t *Table) (int, error) { return t.Vacuum(endInfinity) })
+}
+
+// VacuumDue is the background vacuum policy, run on every GC tick of
+// the engine's maintenance loop and every replica housekeeping pass: it
+// compacts a table only once its reclaimable dead versions reach
+// 1/debtShare of its stored versions, so a pass costs nothing on a
+// table with little to reclaim. It returns the total number of row
+// versions removed and stops at the first fault-injection error.
+func (db *DB) VacuumDue() (int, error) {
+	return db.vacuumEach((*Table).vacuumDue)
+}
+
+// vacuumEach runs pass over every table, summing the removed counts.
+func (db *DB) vacuumEach(pass func(*Table) (int, error)) (int, error) {
 	total := 0
 	for _, name := range db.TableNames() {
 		t, ok := db.Table(name)
 		if !ok {
 			continue // dropped concurrently
 		}
-		n, err := t.Vacuum(endInfinity)
+		n, err := pass(t)
 		total += n
 		if err != nil {
 			return total, err

@@ -34,8 +34,20 @@ type zoneMap struct {
 
 // buildZoneMap computes summaries for the first n rows of a fragment.
 func buildZoneMap(f fragment, n int) *zoneMap {
-	zm := &zoneMap{rows: n}
-	for start := 0; start < n; start += zoneBlockSize {
+	return extendZoneMap(nil, f, n)
+}
+
+// extendZoneMap summarizes the first n rows of a fragment, reusing the
+// zones of every full block prev already covers: main values never
+// change once written, so only prev's partial tail block and the blocks
+// past it are (re)built. The result is a fresh zone map equal to
+// buildZoneMap(f, n); prev (nil for none) is left untouched.
+func extendZoneMap(prev *zoneMap, f fragment, n int) *zoneMap {
+	zm := &zoneMap{rows: n, zones: make([]zone, 0, (n+zoneBlockSize-1)/zoneBlockSize)}
+	if prev != nil {
+		zm.zones = append(zm.zones, prev.zones[:min(prev.rows, n)/zoneBlockSize]...)
+	}
+	for start := len(zm.zones) * zoneBlockSize; start < n; start += zoneBlockSize {
 		end := start + zoneBlockSize
 		if end > n {
 			end = n
@@ -115,15 +127,11 @@ func (z *zone) blockMayMatch(r *ColRange) bool {
 }
 
 // RefreshZoneMaps (re)builds zone maps for every column's main
-// fragment. It is called automatically by MergeDelta; calling it
+// fragment. MergeDelta keeps them current incrementally; calling it
 // explicitly after bulk loads enables pruning without a merge.
 func (t *Table) RefreshZoneMaps() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.refreshZoneMapsLocked()
-}
-
-func (t *Table) refreshZoneMapsLocked() {
 	t.data.refreshZoneMaps()
 }
 
@@ -132,6 +140,22 @@ func (d *tableData) refreshZoneMaps() {
 	for i, c := range d.cols {
 		d.zoneMaps[i] = buildZoneMap(c.main, c.main.len())
 	}
+}
+
+// extendZoneMaps brings the zone maps up to date after a delta merge
+// grew the main fragments: blocks that were already full in main keep
+// their zones, only the old partial tail block and the new blocks are
+// summarized. Without zone maps yet it builds them in full.
+func (d *tableData) extendZoneMaps() {
+	if d.zoneMaps == nil {
+		d.refreshZoneMaps()
+		return
+	}
+	zms := make([]*zoneMap, len(d.cols))
+	for i, c := range d.cols {
+		zms[i] = extendZoneMap(d.zoneMaps[i], c.main, c.main.len())
+	}
+	d.zoneMaps = zms
 }
 
 // zoneSkip returns the first row position >= r whose zone-mapped block
